@@ -95,10 +95,12 @@ fn main() {
     let threads_before = os_threads();
 
     let mut rows = Vec::new();
+    let mut sweep_steps = 0u64;
     for entry in corpus() {
         let scenarios = scenarios_for(&entry);
         let dpor = explore_joint(entry.test, &scenarios, &options(SearchMode::Dpor));
         let dfs = explore_joint(entry.test, &scenarios, &options(SearchMode::Dfs));
+        sweep_steps += dpor.total_steps + dfs.total_steps;
 
         let exhaustive = dpor.scenarios.iter().all(|s| s.report.complete)
             && dfs.scenarios.iter().all(|s| s.report.complete);
@@ -180,6 +182,9 @@ fn main() {
     let threads_after = os_threads();
     let elapsed = start.elapsed();
     let total_combos: u64 = rows.iter().map(|r| r.dpor_combos + r.dfs_combos).sum();
+    // Recorded, not guarded: what resuming a task costs, as the sweep's
+    // wall time per step explored (the DFS oracle runs most of them).
+    let ns_per_step = elapsed.as_nanos() as u64 / sweep_steps.max(1);
 
     print_table(
         "chess guard: joint schedule×fault exploration",
@@ -244,6 +249,7 @@ fn main() {
                 ),
             )
             .with("elapsed_ms", Json::Int(elapsed.as_millis() as i64))
+            .with("ns_per_step", Json::Int(ns_per_step as i64))
             .with(
                 "os_threads",
                 match threads_after {

@@ -10,17 +10,18 @@
 //! `max_steps` abort is byte-reproducible — no wall-clock timeout can
 //! smear a verdict.
 //!
-//! ## Resumption by replay
+//! ## Resumption by polling
 //!
-//! A task is an ordinary `Fn(&ThreadCtx)` closure. Granting a task one
-//! step re-executes its closure from the start: operations already
-//! performed return their memoized results from the task's effect log
-//! (without re-executing effects or re-feeding the race detector), the
-//! first un-logged operation executes live against the shared state, and
-//! the next operation unwinds the closure with a private panic payload,
-//! suspending the task. User code between yield points must therefore be
-//! deterministic — the same contract CHESS imposes (the DFS explorer
-//! asserts it by comparing runnable sets on replay).
+//! A task is a future — the test body and every spawned task are `async`
+//! blocks — and every yield point is an `.await` on a small scheduler
+//! future. Granting a task one step polls its future once: the first
+//! yield point it reaches spends the grant on its operation, and the next
+//! one returns `Pending`, leaving the task suspended exactly where it
+//! stands. An operation that cannot proceed (a held mutex, an empty
+//! channel, an unfinished join) marks the task blocked and returns
+//! `Pending`; the grant after it clears retries the operation. Code
+//! between yield points runs exactly once. The futures are polled with a
+//! no-op waker: the scheduler, not a wake-up, decides who runs next.
 //!
 //! ## Trace hashes
 //!
@@ -39,8 +40,11 @@ use crate::clock::VectorClock;
 use std::any::Any;
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
+use std::future::{poll_fn, Future};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 /// What went wrong on some schedule.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -93,7 +97,7 @@ pub struct Failure {
 pub enum InjectKind {
     /// Panic inside the task at the fault point.
     Panic,
-    /// Suspend the task for `n` virtual ticks (models a slow stage).
+    /// Stall the task for `n` virtual ticks (models a slow stage).
     DelayTicks(u64),
     /// Tell the fault point's caller to drop the item
     /// ([`Inject::Drop`]).
@@ -236,25 +240,26 @@ pub(crate) struct StepInfo {
     pub clock: VectorClock,
 }
 
-/// Memoized result of one performed operation.
-#[derive(Clone)]
-enum Saved {
-    Unit,
-    /// A spawned task id or a created cell/mutex/channel id.
-    Id(usize),
-    /// A value read or received (downcast to the concrete type on replay).
-    Value(Rc<dyn Any>),
-    /// Fault point outcome: `true` = drop the item.
-    Inject(bool),
+/// A controlled task's body, as the scheduler polls it.
+pub type TaskFuture = Pin<Box<dyn Future<Output = ()>>>;
+
+/// A test body as the explorers hold it: called once per schedule with
+/// the main task's context.
+pub(crate) type TestFn = Rc<dyn Fn(ThreadCtx) -> TaskFuture>;
+
+/// Erase a test body's future type.
+pub(crate) fn test_fn<F, Fut>(test: F) -> TestFn
+where
+    F: Fn(ThreadCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
+{
+    Rc::new(move |ctx| Box::pin(test(ctx)))
 }
 
 struct Task {
-    body: Rc<dyn Fn(&ThreadCtx)>,
+    /// `None` while the task is being polled and once it has finished.
+    future: Option<TaskFuture>,
     state: TState,
-    /// Effect log; replayed from the start on every resumption.
-    log: Vec<Saved>,
-    /// Replay position within `log` for the current resumption.
-    cursor: usize,
     clock: VectorClock,
     finish_clock: Option<VectorClock>,
 }
@@ -263,9 +268,6 @@ struct CellMeta {
     name: String,
     last_write: Option<(usize, VectorClock)>,
     reads: Vec<(usize, VectorClock)>,
-    /// `Rc<RefCell<T>>` behind `dyn Any`: replayed creations must hand
-    /// back the *same* storage, not a fresh copy of the initial value.
-    data: Rc<dyn Any>,
 }
 
 struct MutexMeta {
@@ -273,21 +275,15 @@ struct MutexMeta {
     clock: VectorClock,
 }
 
-struct ChannelMeta {
-    /// Sender clocks of queued messages (FIFO), joined at receive to
-    /// establish the happens-before edge of the handoff.
-    queue: VecDeque<VectorClock>,
-    /// `Rc<RefCell<VecDeque<T>>>` behind `dyn Any` (same reason as cells).
-    data: Rc<dyn Any>,
-}
-
 pub(crate) struct State {
     tasks: Vec<Task>,
-    /// Whether the current step's single live-operation grant is unspent.
+    /// Whether the current step's single operation grant is unspent.
     granted: bool,
     cells: Vec<CellMeta>,
     mutexes: Vec<MutexMeta>,
-    channels: Vec<ChannelMeta>,
+    /// Sender clocks of each channel's queued messages (FIFO), joined at
+    /// receive to establish the happens-before edge of the handoff.
+    channels: Vec<VecDeque<VectorClock>>,
     failures: Vec<Failure>,
     /// Chosen tids, in order — the schedule of this run.
     decisions: Vec<usize>,
@@ -312,24 +308,83 @@ impl State {
         match r {
             BlockReason::Mutex(m) => self.mutexes[*m].owner.is_none(),
             BlockReason::Join(t) => matches!(self.tasks[*t].state, TState::Finished),
-            BlockReason::Recv(c) => !self.channels[*c].queue.is_empty(),
+            BlockReason::Recv(c) => !self.channels[*c].is_empty(),
             BlockReason::Until(t) => self.virtual_time >= *t,
+        }
+    }
+
+    /// Record a failure (deduplicated by kind) with the current schedule
+    /// prefix and trace hash; does not abort by itself.
+    fn observe(&mut self, kind: FailureKind) {
+        if self.failures.iter().any(|f| f.kind == kind) {
+            return;
+        }
+        self.failures.push(Failure {
+            kind,
+            schedule: self.decisions.clone(),
+            trace_hash: self.cur_hash,
+            fault_induced: self.any_fault_fired,
+        });
+    }
+
+    /// Add a task; a spawned task's clock starts after its parent's.
+    fn register_task(&mut self, parent: Option<usize>, future: TaskFuture) {
+        let tid = self.tasks.len();
+        let mut clock = match parent {
+            Some(p) => self.tasks[p].clock.clone(),
+            None => VectorClock::new(),
+        };
+        clock.tick(tid);
+        if let Some(p) = parent {
+            self.tasks[p].clock.tick(p);
+            clock.join(&self.tasks[p].clock);
+        }
+        self.tasks.push(Task {
+            future: Some(future),
+            state: TState::Runnable,
+            clock,
+            finish_clock: None,
+        });
+    }
+
+    /// Record the step of a performed (or attempted) decision op.
+    fn commit(&mut self, tid: usize, key: OpKey) {
+        let clock = self.tasks[tid].clock.clone();
+        self.step_infos.push(StepInfo { tid, op: Some(key), clock });
+    }
+
+    fn finish(&mut self, tid: usize) {
+        let t = &mut self.tasks[tid];
+        t.finish_clock = Some(t.clock.clone());
+        t.state = TState::Finished;
+    }
+
+    fn race_check(&mut self, tid: usize, cell_id: usize, is_write: bool) {
+        self.tasks[tid].clock.tick(tid);
+        let clock = self.tasks[tid].clock.clone();
+        let cell = &mut self.cells[cell_id];
+        let mut race = cell
+            .last_write
+            .as_ref()
+            .map(|(wt, wc)| *wt != tid && !wc.le(&clock))
+            .unwrap_or(false);
+        if is_write {
+            race |= cell.reads.iter().any(|(rt, rc)| *rt != tid && !rc.le(&clock));
+            cell.last_write = Some((tid, clock));
+            cell.reads.clear();
+        } else {
+            cell.reads.push((tid, clock));
+        }
+        if race {
+            let name = self.cells[cell_id].name.clone();
+            self.observe(FailureKind::Race { cell: name });
         }
     }
 }
 
-/// Panic payload used to suspend a task at a yield point; never escapes
-/// the scheduler.
-struct Suspend;
-
-/// Panic payload used to unwind a task when the run is aborted; not a
-/// user-visible failure.
-struct Abort;
-
 thread_local! {
-    /// True while a controlled task body is executing: the panic hook
-    /// stays silent (suspension unwinds are panics by mechanism, not by
-    /// meaning, and user panics are caught and recorded as failures).
+    /// True while a controlled task is being polled: the panic hook stays
+    /// silent, since task panics are caught and recorded as failures.
     static IN_TASK: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -354,6 +409,19 @@ fn payload_str(payload: &(dyn Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic>".into())
 }
 
+/// Returns `Pending` once: the task stays parked (its state says until
+/// when) and the grant that wakes it moves on without spending itself.
+fn suspend() -> impl Future<Output = ()> {
+    let mut parked = false;
+    poll_fn(move |_| {
+        if std::mem::replace(&mut parked, true) {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    })
+}
+
 pub(crate) struct Sched {
     state: RefCell<State>,
     max_steps: u64,
@@ -369,7 +437,7 @@ pub(crate) struct RunResult {
 }
 
 impl Sched {
-    pub(crate) fn new(max_steps: u64, scenario: FaultScenario) -> Rc<Sched> {
+    fn new(max_steps: u64, scenario: FaultScenario) -> Rc<Sched> {
         install_quiet_hook();
         let cur_hash = scenario_seed(&scenario);
         let fault_fired = vec![false; scenario.faults.len()];
@@ -394,113 +462,6 @@ impl Sched {
             }),
             max_steps,
         })
-    }
-
-    /// Record a failure (deduplicated by kind) with the current schedule
-    /// prefix and trace hash; does not abort by itself.
-    fn observe_in(st: &mut State, kind: FailureKind) {
-        if st.failures.iter().any(|f| f.kind == kind) {
-            return;
-        }
-        let schedule = st.decisions.clone();
-        st.failures.push(Failure {
-            kind,
-            schedule,
-            trace_hash: st.cur_hash,
-            fault_induced: st.any_fault_fired,
-        });
-    }
-
-    fn register_task(st: &mut State, parent: Option<usize>, body: Rc<dyn Fn(&ThreadCtx)>) -> usize {
-        let tid = st.tasks.len();
-        let mut clock = match parent {
-            Some(p) => {
-                let mut c = st.tasks[p].clock.clone();
-                c.tick(tid);
-                c
-            }
-            None => {
-                let mut c = VectorClock::new();
-                c.tick(tid);
-                c
-            }
-        };
-        if let Some(p) = parent {
-            st.tasks[p].clock.tick(p);
-            let pc = st.tasks[p].clock.clone();
-            clock.join(&pc);
-        }
-        st.tasks.push(Task {
-            body,
-            state: TState::Runnable,
-            log: Vec::new(),
-            cursor: 0,
-            clock,
-            finish_clock: None,
-        });
-        tid
-    }
-
-    /// Gate for a decision op: `Some(saved)` replays a memoized result,
-    /// `None` means "perform live now" (this step's grant was consumed).
-    /// Unwinds the task when the grant is already spent.
-    fn decision(&self, tid: usize) -> Option<Saved> {
-        let mut st = self.state.borrow_mut();
-        if st.aborted {
-            drop(st);
-            panic_any(Abort);
-        }
-        let t = &mut st.tasks[tid];
-        if t.cursor < t.log.len() {
-            let s = t.log[t.cursor].clone();
-            t.cursor += 1;
-            return Some(s);
-        }
-        if st.granted {
-            st.granted = false;
-            return None;
-        }
-        drop(st);
-        panic_any(Suspend);
-    }
-
-    /// Gate for a silent op (cell/mutex/channel creation): replays or
-    /// signals "perform live" without consuming the grant — creation is
-    /// not a scheduling decision.
-    fn silent(&self, tid: usize) -> Option<Saved> {
-        let mut st = self.state.borrow_mut();
-        let t = &mut st.tasks[tid];
-        if t.cursor < t.log.len() {
-            let s = t.log[t.cursor].clone();
-            t.cursor += 1;
-            return Some(s);
-        }
-        None
-    }
-
-    /// Log a completed live decision op and its step record.
-    fn commit(st: &mut State, tid: usize, saved: Saved, key: OpKey) {
-        st.tasks[tid].log.push(saved);
-        st.tasks[tid].cursor += 1;
-        let clock = st.tasks[tid].clock.clone();
-        st.step_infos.push(StepInfo { tid, op: Some(key), clock });
-    }
-
-    /// Log a completed live silent op (no step record).
-    fn commit_silent(st: &mut State, tid: usize, saved: Saved) {
-        st.tasks[tid].log.push(saved);
-        st.tasks[tid].cursor += 1;
-    }
-
-    /// Abandon the live attempt: mark the task blocked, record the
-    /// attempted op (blocked attempts are scheduling decisions too), and
-    /// suspend. The op is *not* logged — the next grant retries it.
-    fn block(&self, mut st: RefMut<'_, State>, tid: usize, reason: BlockReason, key: OpKey) -> ! {
-        st.tasks[tid].state = TState::Blocked(reason);
-        let clock = st.tasks[tid].clock.clone();
-        st.step_infos.push(StepInfo { tid, op: Some(key), clock });
-        drop(st);
-        panic_any(Suspend);
     }
 
     /// The sorted set of tasks the driver may grant the next step to.
@@ -547,52 +508,38 @@ impl Sched {
         st.steps += 1;
         st.virtual_time += 1;
         if st.steps > self.max_steps {
-            Sched::observe_in(&mut st, FailureKind::StepLimit);
+            st.observe(FailureKind::StepLimit);
             st.aborted = true;
             return false;
         }
         true
     }
 
-    /// Give `tid` one step: re-execute its closure, replaying the effect
-    /// log and performing exactly one fresh decision op.
-    fn step_task(self: &Rc<Sched>, tid: usize) {
-        let body = {
+    /// Give `tid` one step: poll its future once with a fresh grant.
+    fn step_task(&self, tid: usize) {
+        let mut future = {
             let mut st = self.state.borrow_mut();
             st.granted = true;
             let t = &mut st.tasks[tid];
-            t.cursor = 0;
             t.state = TState::Runnable;
-            t.body.clone()
+            t.future.take().expect("a runnable task has a future")
         };
-        let ctx = ThreadCtx { tid, sched: self.clone() };
         let prev = IN_TASK.with(|f| f.replace(true));
-        let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
+        let mut cx = Context::from_waker(Waker::noop());
+        let result = catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx)));
         IN_TASK.with(|f| f.set(prev));
         let mut st = self.state.borrow_mut();
         st.granted = false;
         match result {
-            Ok(()) => {
-                let t = &mut st.tasks[tid];
-                t.finish_clock = Some(t.clock.clone());
-                t.state = TState::Finished;
-            }
+            Ok(Poll::Pending) => st.tasks[tid].future = Some(future),
+            Ok(Poll::Ready(())) => st.finish(tid),
             Err(payload) => {
-                if payload.downcast_ref::<Suspend>().is_some()
-                    || payload.downcast_ref::<Abort>().is_some()
-                {
-                    // Suspended / blocked / aborted: state already set.
-                } else {
-                    // A real panic: record it and declare the task dead
-                    // (joiners proceed, like joining a panicked thread;
-                    // starved channel peers deadlock — a separate,
-                    // correctly-attributed failure).
-                    let msg = payload_str(payload.as_ref());
-                    Sched::observe_in(&mut st, FailureKind::Panic(msg));
-                    let t = &mut st.tasks[tid];
-                    t.finish_clock = Some(t.clock.clone());
-                    t.state = TState::Finished;
-                }
+                // A real panic: record it and declare the task dead
+                // (joiners proceed, like joining a panicked thread;
+                // starved channel peers deadlock — a separate,
+                // correctly-attributed failure).
+                st.observe(FailureKind::Panic(payload_str(payload.as_ref())));
+                st.finish(tid);
             }
         }
         // Keep step records aligned 1:1 with decisions even when the task
@@ -611,40 +558,7 @@ impl Sched {
         }
         let all_done = st.tasks.iter().all(|t| matches!(t.state, TState::Finished));
         if !all_done {
-            Sched::observe_in(&mut st, FailureKind::Deadlock);
-        }
-    }
-
-    fn take_result(&self) -> RunResult {
-        let st = self.state.borrow();
-        RunResult {
-            failures: st.failures.clone(),
-            decisions: st.decisions.clone(),
-            steps: st.steps,
-            trace_hash: st.cur_hash,
-            step_infos: st.step_infos.clone(),
-        }
-    }
-
-    fn race_check(st: &mut State, tid: usize, cell_id: usize, is_write: bool) {
-        st.tasks[tid].clock.tick(tid);
-        let clock = st.tasks[tid].clock.clone();
-        let cell = &mut st.cells[cell_id];
-        let mut race = cell
-            .last_write
-            .as_ref()
-            .map(|(wt, wc)| *wt != tid && !wc.le(&clock))
-            .unwrap_or(false);
-        if is_write {
-            race |= cell.reads.iter().any(|(rt, rc)| *rt != tid && !rc.le(&clock));
-            cell.last_write = Some((tid, clock));
-            cell.reads.clear();
-        } else {
-            cell.reads.push((tid, clock));
-        }
-        if race {
-            let name = st.cells[cell_id].name.clone();
-            Sched::observe_in(st, FailureKind::Race { cell: name });
+            st.observe(FailureKind::Deadlock);
         }
     }
 }
@@ -669,244 +583,152 @@ impl ThreadCtx {
         self.tid
     }
 
-    /// Spawn a controlled task (a scheduling decision). The closure is
-    /// `Fn` because suspended tasks resume by replaying it from the
-    /// start.
-    pub fn spawn<F>(&self, f: F) -> JoinHandle
-    where
-        F: Fn(&ThreadCtx) + 'static,
-    {
-        match self.sched.decision(self.tid) {
-            Some(Saved::Id(tid)) => JoinHandle { tid },
-            Some(_) => unreachable!("replay log diverged at spawn"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                let tid = Sched::register_task(&mut st, Some(self.tid), Rc::new(f));
-                Sched::commit(&mut st, self.tid, Saved::Id(tid), OpKey::Spawn);
-                JoinHandle { tid }
+    /// Wait for this task's next grant and spend it; yields the state for
+    /// the one operation the grant pays for.
+    fn grant(&self) -> impl Future<Output = RefMut<'_, State>> {
+        poll_fn(move |_| {
+            let mut st = self.sched.state.borrow_mut();
+            if std::mem::take(&mut st.granted) {
+                Poll::Ready(st)
+            } else {
+                Poll::Pending
             }
+        })
+    }
+
+    /// Spend grants until `reason` no longer blocks the operation `key`.
+    /// A grant that finds it blocked marks the task blocked (the attempt
+    /// is a scheduling decision too); the grant after it clears retries.
+    async fn grant_unblocked(&self, reason: BlockReason, key: OpKey) -> RefMut<'_, State> {
+        loop {
+            let mut st = self.grant().await;
+            if st.block_cleared(&reason) {
+                return st;
+            }
+            st.tasks[self.tid].state = TState::Blocked(reason);
+            st.commit(self.tid, key);
         }
+    }
+
+    /// Spawn a controlled task (a scheduling decision). `f` receives the
+    /// new task's context and returns its body.
+    pub async fn spawn<F, Fut>(&self, f: F) -> JoinHandle
+    where
+        F: FnOnce(ThreadCtx) -> Fut,
+        Fut: Future<Output = ()> + 'static,
+    {
+        let tid = self.grant().await.tasks.len();
+        let future = Box::pin(f(ThreadCtx { tid, sched: self.sched.clone() }));
+        let mut st = self.sched.state.borrow_mut();
+        st.register_task(Some(self.tid), future);
+        st.commit(self.tid, OpKey::Spawn);
+        JoinHandle { tid }
     }
 
     /// Join a controlled task (blocks this task in the model; joining a
     /// panicked task succeeds, as with real threads).
-    pub fn join(&self, handle: JoinHandle) {
-        match self.sched.decision(self.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at join"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                if !matches!(st.tasks[handle.tid].state, TState::Finished) {
-                    self.sched.block(
-                        st,
-                        self.tid,
-                        BlockReason::Join(handle.tid),
-                        OpKey::Join(handle.tid),
-                    );
-                }
-                let fc = st.tasks[handle.tid].finish_clock.clone().expect("finished");
-                st.tasks[self.tid].clock.join(&fc);
-                st.tasks[self.tid].clock.tick(self.tid);
-                Sched::commit(&mut st, self.tid, Saved::Unit, OpKey::Join(handle.tid));
-            }
-        }
+    pub async fn join(&self, handle: JoinHandle) {
+        let key = OpKey::Join(handle.tid);
+        let mut st = self.grant_unblocked(BlockReason::Join(handle.tid), key).await;
+        let fc = st.tasks[handle.tid].finish_clock.clone().expect("finished");
+        st.tasks[self.tid].clock.join(&fc);
+        st.tasks[self.tid].clock.tick(self.tid);
+        st.commit(self.tid, key);
     }
 
     /// Create a shared cell participating in scheduling and race
     /// detection (not itself a scheduling decision).
-    pub fn shared<T: Clone + 'static>(&self, name: &str, init: T) -> Shared<T> {
-        match self.sched.silent(self.tid) {
-            Some(Saved::Id(id)) => {
-                let st = self.sched.state.borrow();
-                let data = st.cells[id]
-                    .data
-                    .clone()
-                    .downcast::<RefCell<T>>()
-                    .unwrap_or_else(|_| unreachable!("cell type diverged on replay"));
-                Shared { id, data, sched: self.sched.clone() }
-            }
-            Some(_) => unreachable!("replay log diverged at shared"),
-            None => {
-                let data = Rc::new(RefCell::new(init));
-                let mut st = self.sched.state.borrow_mut();
-                let id = st.cells.len();
-                st.cells.push(CellMeta {
-                    name: name.to_string(),
-                    last_write: None,
-                    reads: Vec::new(),
-                    data: data.clone(),
-                });
-                Sched::commit_silent(&mut st, self.tid, Saved::Id(id));
-                Shared { id, data, sched: self.sched.clone() }
-            }
-        }
+    pub fn shared<T>(&self, name: &str, init: T) -> Shared<T> {
+        let mut st = self.sched.state.borrow_mut();
+        let id = st.cells.len();
+        st.cells.push(CellMeta { name: name.to_string(), last_write: None, reads: Vec::new() });
+        Shared { id, data: Rc::new(RefCell::new(init)) }
     }
 
     /// Create a controlled mutex.
     pub fn mutex(&self, _name: &str) -> CMutex {
-        match self.sched.silent(self.tid) {
-            Some(Saved::Id(id)) => CMutex { id, sched: self.sched.clone() },
-            Some(_) => unreachable!("replay log diverged at mutex"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                let id = st.mutexes.len();
-                st.mutexes.push(MutexMeta { owner: None, clock: VectorClock::new() });
-                Sched::commit_silent(&mut st, self.tid, Saved::Id(id));
-                CMutex { id, sched: self.sched.clone() }
-            }
-        }
+        let mut st = self.sched.state.borrow_mut();
+        st.mutexes.push(MutexMeta { owner: None, clock: VectorClock::new() });
+        CMutex { id: st.mutexes.len() - 1 }
     }
 
     /// Create a controlled FIFO channel (models a pipeline buffer: the
     /// send→receive handoff is a happens-before edge).
-    pub fn channel<T: Clone + 'static>(&self, _name: &str) -> CChannel<T> {
-        match self.sched.silent(self.tid) {
-            Some(Saved::Id(id)) => {
-                let st = self.sched.state.borrow();
-                let data = st.channels[id]
-                    .data
-                    .clone()
-                    .downcast::<RefCell<VecDeque<T>>>()
-                    .unwrap_or_else(|_| unreachable!("channel type diverged on replay"));
-                CChannel { id, data, sched: self.sched.clone() }
-            }
-            Some(_) => unreachable!("replay log diverged at channel"),
-            None => {
-                let data: Rc<RefCell<VecDeque<T>>> = Rc::new(RefCell::new(VecDeque::new()));
-                let mut st = self.sched.state.borrow_mut();
-                let id = st.channels.len();
-                st.channels.push(ChannelMeta { queue: VecDeque::new(), data: data.clone() });
-                Sched::commit_silent(&mut st, self.tid, Saved::Id(id));
-                CChannel { id, data, sched: self.sched.clone() }
-            }
-        }
+    pub fn channel<T>(&self, _name: &str) -> CChannel<T> {
+        let mut st = self.sched.state.borrow_mut();
+        st.channels.push(VecDeque::new());
+        CChannel { id: st.channels.len() - 1, data: Rc::new(RefCell::new(VecDeque::new())) }
     }
 
     /// Assert a property of the current schedule; a failure is recorded
     /// with the reproducing schedule + trace hash and the run is aborted.
-    pub fn check(&self, cond: bool, msg: &str) {
-        match self.sched.decision(self.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at check"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                Sched::commit(&mut st, self.tid, Saved::Unit, OpKey::Check);
-                if !cond {
-                    Sched::observe_in(&mut st, FailureKind::CheckFailed(msg.to_string()));
-                    st.aborted = true;
-                    drop(st);
-                    panic_any(Abort);
-                }
+    pub async fn check(&self, cond: bool, msg: &str) {
+        {
+            let mut st = self.grant().await;
+            st.commit(self.tid, OpKey::Check);
+            if cond {
+                return;
             }
+            st.observe(FailureKind::CheckFailed(msg.to_string()));
+            st.aborted = true;
         }
+        // The run ends here; the driver drops this task unpolled.
+        std::future::pending::<()>().await;
     }
 
     /// A scheduling point without a memory access (models local work).
-    pub fn step(&self) {
-        match self.sched.decision(self.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at step"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                Sched::commit(&mut st, self.tid, Saved::Unit, OpKey::Step);
-            }
-        }
+    pub async fn step(&self) {
+        self.grant().await.commit(self.tid, OpKey::Step);
     }
 
     /// Sleep `ticks` on the virtual clock: a deterministic stand-in for
     /// wall-clock sleeps. When only sleepers remain, the driver jumps the
     /// clock to the earliest wake target — no real time passes.
-    pub fn sleep(&self, ticks: u64) {
-        match self.sched.decision(self.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at sleep"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                let target = st.virtual_time + ticks;
-                Sched::commit(&mut st, self.tid, Saved::Unit, OpKey::Sleep);
-                st.tasks[self.tid].state = TState::Blocked(BlockReason::Until(target));
-                drop(st);
-                panic_any(Suspend);
-            }
+    pub async fn sleep(&self, ticks: u64) {
+        {
+            let mut st = self.grant().await;
+            let target = st.virtual_time + ticks;
+            st.commit(self.tid, OpKey::Sleep);
+            st.tasks[self.tid].state = TState::Blocked(BlockReason::Until(target));
         }
+        suspend().await;
     }
 
     /// A named fault point: under a [`FaultScenario`] the matching armed
     /// fault fires here (panic / virtual delay / drop), making fault
     /// injection a scheduler decision point. Call counts are shared
     /// across tasks per label, mirroring faultsim's per-stage counters.
-    pub fn fault_point(&self, label: &str) -> Inject {
-        match self.sched.decision(self.tid) {
-            Some(Saved::Inject(drop_item)) => {
-                if drop_item {
-                    Inject::Drop
-                } else {
-                    Inject::Run
+    pub async fn fault_point(&self, label: &str) -> Inject {
+        {
+            let mut st = self.grant().await;
+            let label_id = match st.fault_calls.iter().position(|(l, _)| l == label) {
+                Some(i) => i,
+                None => {
+                    st.fault_calls.push((label.to_string(), 0));
+                    st.fault_calls.len() - 1
                 }
-            }
-            Some(_) => unreachable!("replay log diverged at fault_point"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                let label_id = match st.fault_calls.iter().position(|(l, _)| l == label) {
-                    Some(i) => i,
-                    None => {
-                        st.fault_calls.push((label.to_string(), 0));
-                        st.fault_calls.len() - 1
-                    }
-                };
-                let call = st.fault_calls[label_id].1;
-                st.fault_calls[label_id].1 += 1;
-                let armed = (0..st.scenario.faults.len()).find(|&i| {
-                    !st.fault_fired[i]
-                        && st.scenario.faults[i].label == label
-                        && st.scenario.faults[i].nth == call
-                });
-                match armed {
-                    None => {
-                        Sched::commit(&mut st, self.tid, Saved::Inject(false), OpKey::Fault(label_id));
-                        Inject::Run
-                    }
-                    Some(i) => {
-                        st.fault_fired[i] = true;
-                        st.any_fault_fired = true;
-                        match st.scenario.faults[i].kind.clone() {
-                            InjectKind::Panic => {
-                                Sched::commit(
-                                    &mut st,
-                                    self.tid,
-                                    Saved::Inject(false),
-                                    OpKey::Fault(label_id),
-                                );
-                                drop(st);
-                                panic!("chess-fault: injected panic at `{label}` call {call}");
-                            }
-                            InjectKind::DelayTicks(n) => {
-                                let target = st.virtual_time + n;
-                                Sched::commit(
-                                    &mut st,
-                                    self.tid,
-                                    Saved::Inject(false),
-                                    OpKey::Fault(label_id),
-                                );
-                                st.tasks[self.tid].state =
-                                    TState::Blocked(BlockReason::Until(target));
-                                drop(st);
-                                panic_any(Suspend);
-                            }
-                            InjectKind::DropItem => {
-                                Sched::commit(
-                                    &mut st,
-                                    self.tid,
-                                    Saved::Inject(true),
-                                    OpKey::Fault(label_id),
-                                );
-                                Inject::Drop
-                            }
-                        }
-                    }
-                }
-            }
+            };
+            let call = st.fault_calls[label_id].1;
+            st.fault_calls[label_id].1 += 1;
+            st.commit(self.tid, OpKey::Fault(label_id));
+            let armed = (0..st.scenario.faults.len()).find(|&i| {
+                !st.fault_fired[i]
+                    && st.scenario.faults[i].label == label
+                    && st.scenario.faults[i].nth == call
+            });
+            let Some(i) = armed else { return Inject::Run };
+            st.fault_fired[i] = true;
+            st.any_fault_fired = true;
+            let ticks = match st.scenario.faults[i].kind {
+                InjectKind::Panic => panic!("chess-fault: injected panic at `{label}` call {call}"),
+                InjectKind::DropItem => return Inject::Drop,
+                InjectKind::DelayTicks(n) => n,
+            };
+            let target = st.virtual_time + ticks;
+            st.tasks[self.tid].state = TState::Blocked(BlockReason::Until(target));
         }
+        suspend().await;
+        Inject::Run
     }
 }
 
@@ -915,145 +737,75 @@ impl ThreadCtx {
 pub struct Shared<T> {
     id: usize,
     data: Rc<RefCell<T>>,
-    sched: Rc<Sched>,
 }
 
 impl<T> Clone for Shared<T> {
     fn clone(&self) -> Shared<T> {
-        Shared { id: self.id, data: self.data.clone(), sched: self.sched.clone() }
+        Shared { id: self.id, data: self.data.clone() }
     }
 }
 
-impl<T: Clone + 'static> Shared<T> {
+impl<T: Clone> Shared<T> {
     /// Read the cell.
-    pub fn read(&self, ctx: &ThreadCtx) -> T {
-        match self.sched.decision(ctx.tid) {
-            Some(Saved::Value(v)) => v
-                .downcast_ref::<T>()
-                .unwrap_or_else(|| unreachable!("replay log diverged at read"))
-                .clone(),
-            Some(_) => unreachable!("replay log diverged at read"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                Sched::race_check(&mut st, ctx.tid, self.id, false);
-                let value = self.data.borrow().clone();
-                Sched::commit(
-                    &mut st,
-                    ctx.tid,
-                    Saved::Value(Rc::new(value.clone())),
-                    OpKey::Read(self.id),
-                );
-                value
-            }
-        }
+    pub async fn read(&self, ctx: &ThreadCtx) -> T {
+        let mut st = ctx.grant().await;
+        st.race_check(ctx.tid, self.id, false);
+        st.commit(ctx.tid, OpKey::Read(self.id));
+        self.data.borrow().clone()
     }
 
     /// Write the cell.
-    pub fn write(&self, ctx: &ThreadCtx, value: T) {
-        match self.sched.decision(ctx.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at write"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                Sched::race_check(&mut st, ctx.tid, self.id, true);
-                *self.data.borrow_mut() = value;
-                Sched::commit(&mut st, ctx.tid, Saved::Unit, OpKey::Write(self.id));
-            }
-        }
+    pub async fn write(&self, ctx: &ThreadCtx, value: T) {
+        let mut st = ctx.grant().await;
+        st.race_check(ctx.tid, self.id, true);
+        st.commit(ctx.tid, OpKey::Write(self.id));
+        *self.data.borrow_mut() = value;
     }
 
     /// Atomic read-modify-write (a single yield point; models an atomic
-    /// instruction — no race window inside). `f` must be deterministic:
-    /// it is not re-applied on replay.
-    pub fn fetch_modify(&self, ctx: &ThreadCtx, f: impl FnOnce(T) -> T) -> T {
-        match self.sched.decision(ctx.tid) {
-            Some(Saved::Value(v)) => v
-                .downcast_ref::<T>()
-                .unwrap_or_else(|| unreachable!("replay log diverged at fetch_modify"))
-                .clone(),
-            Some(_) => unreachable!("replay log diverged at fetch_modify"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                Sched::race_check(&mut st, ctx.tid, self.id, true);
-                let old = self.data.borrow().clone();
-                *self.data.borrow_mut() = f(old.clone());
-                Sched::commit(
-                    &mut st,
-                    ctx.tid,
-                    Saved::Value(Rc::new(old.clone())),
-                    OpKey::Write(self.id),
-                );
-                old
-            }
-        }
+    /// instruction — no race window inside). Returns the old value.
+    pub async fn fetch_modify(&self, ctx: &ThreadCtx, f: impl FnOnce(T) -> T) -> T {
+        let mut st = ctx.grant().await;
+        st.race_check(ctx.tid, self.id, true);
+        st.commit(ctx.tid, OpKey::Write(self.id));
+        let old = self.data.borrow().clone();
+        *self.data.borrow_mut() = f(old.clone());
+        old
     }
 }
 
 /// A controlled mutex: lock/unlock are yield points and establish
 /// happens-before edges (so properly locked accesses are race-free).
+#[derive(Clone)]
 pub struct CMutex {
     id: usize,
-    sched: Rc<Sched>,
-}
-
-impl Clone for CMutex {
-    fn clone(&self) -> CMutex {
-        CMutex { id: self.id, sched: self.sched.clone() }
-    }
 }
 
 impl CMutex {
     /// Acquire the mutex (blocking in the model).
-    pub fn lock(&self, ctx: &ThreadCtx) {
-        match self.sched.decision(ctx.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at lock"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                if st.mutexes[self.id].owner == Some(ctx.tid) {
-                    drop(st);
-                    panic!("recursive lock of a CMutex");
-                }
-                if st.mutexes[self.id].owner.is_some() {
-                    self.sched.block(
-                        st,
-                        ctx.tid,
-                        BlockReason::Mutex(self.id),
-                        OpKey::Lock(self.id),
-                    );
-                }
-                st.mutexes[self.id].owner = Some(ctx.tid);
-                let mclock = st.mutexes[self.id].clock.clone();
-                st.tasks[ctx.tid].clock.join(&mclock);
-                st.tasks[ctx.tid].clock.tick(ctx.tid);
-                Sched::commit(&mut st, ctx.tid, Saved::Unit, OpKey::Lock(self.id));
-            }
+    pub async fn lock(&self, ctx: &ThreadCtx) {
+        // Only this task could release it: the lock would never come.
+        if ctx.sched.state.borrow().mutexes[self.id].owner == Some(ctx.tid) {
+            panic!("recursive lock of a CMutex");
         }
+        let key = OpKey::Lock(self.id);
+        let mut st = ctx.grant_unblocked(BlockReason::Mutex(self.id), key).await;
+        st.mutexes[self.id].owner = Some(ctx.tid);
+        let mclock = st.mutexes[self.id].clock.clone();
+        st.tasks[ctx.tid].clock.join(&mclock);
+        st.tasks[ctx.tid].clock.tick(ctx.tid);
+        st.commit(ctx.tid, key);
     }
 
     /// Release the mutex.
-    pub fn unlock(&self, ctx: &ThreadCtx) {
-        match self.sched.decision(ctx.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at unlock"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                assert_eq!(st.mutexes[self.id].owner, Some(ctx.tid), "unlock by non-owner");
-                st.tasks[ctx.tid].clock.tick(ctx.tid);
-                let thread_clock = st.tasks[ctx.tid].clock.clone();
-                st.mutexes[self.id].clock = thread_clock;
-                st.mutexes[self.id].owner = None;
-                Sched::commit(&mut st, ctx.tid, Saved::Unit, OpKey::Unlock(self.id));
-            }
-        }
-    }
-
-    /// Run `f` under the lock.
-    pub fn with<R>(&self, ctx: &ThreadCtx, f: impl FnOnce() -> R) -> R {
-        self.lock(ctx);
-        let r = f();
-        self.unlock(ctx);
-        r
+    pub async fn unlock(&self, ctx: &ThreadCtx) {
+        let mut st = ctx.grant().await;
+        assert_eq!(st.mutexes[self.id].owner, Some(ctx.tid), "unlock by non-owner");
+        st.tasks[ctx.tid].clock.tick(ctx.tid);
+        let thread_clock = st.tasks[ctx.tid].clock.clone();
+        st.mutexes[self.id].clock = thread_clock;
+        st.mutexes[self.id].owner = None;
+        st.commit(ctx.tid, OpKey::Unlock(self.id));
     }
 }
 
@@ -1064,69 +816,35 @@ impl CMutex {
 pub struct CChannel<T> {
     id: usize,
     data: Rc<RefCell<VecDeque<T>>>,
-    sched: Rc<Sched>,
 }
 
 impl<T> Clone for CChannel<T> {
     fn clone(&self) -> CChannel<T> {
-        CChannel { id: self.id, data: self.data.clone(), sched: self.sched.clone() }
+        CChannel { id: self.id, data: self.data.clone() }
     }
 }
 
-impl<T: Clone + 'static> CChannel<T> {
+impl<T> CChannel<T> {
     /// Send a value (never blocks; the model channel is unbounded).
-    pub fn send(&self, ctx: &ThreadCtx, value: T) {
-        match self.sched.decision(ctx.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at send"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                st.tasks[ctx.tid].clock.tick(ctx.tid);
-                let clock = st.tasks[ctx.tid].clock.clone();
-                st.channels[self.id].queue.push_back(clock);
-                self.data.borrow_mut().push_back(value);
-                Sched::commit(&mut st, ctx.tid, Saved::Unit, OpKey::Send(self.id));
-            }
-        }
+    pub async fn send(&self, ctx: &ThreadCtx, value: T) {
+        let mut st = ctx.grant().await;
+        st.tasks[ctx.tid].clock.tick(ctx.tid);
+        let clock = st.tasks[ctx.tid].clock.clone();
+        st.channels[self.id].push_back(clock);
+        st.commit(ctx.tid, OpKey::Send(self.id));
+        self.data.borrow_mut().push_back(value);
     }
 
     /// Receive a value, blocking (in the model) while the channel is
     /// empty.
-    pub fn recv(&self, ctx: &ThreadCtx) -> T {
-        match self.sched.decision(ctx.tid) {
-            Some(Saved::Value(v)) => v
-                .downcast_ref::<T>()
-                .unwrap_or_else(|| unreachable!("replay log diverged at recv"))
-                .clone(),
-            Some(_) => unreachable!("replay log diverged at recv"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                if st.channels[self.id].queue.is_empty() {
-                    self.sched.block(
-                        st,
-                        ctx.tid,
-                        BlockReason::Recv(self.id),
-                        OpKey::Recv(self.id),
-                    );
-                }
-                let sender_clock =
-                    st.channels[self.id].queue.pop_front().expect("checked nonempty");
-                st.tasks[ctx.tid].clock.join(&sender_clock);
-                st.tasks[ctx.tid].clock.tick(ctx.tid);
-                let value = self
-                    .data
-                    .borrow_mut()
-                    .pop_front()
-                    .expect("data and clock queues stay in sync");
-                Sched::commit(
-                    &mut st,
-                    ctx.tid,
-                    Saved::Value(Rc::new(value.clone())),
-                    OpKey::Recv(self.id),
-                );
-                value
-            }
-        }
+    pub async fn recv(&self, ctx: &ThreadCtx) -> T {
+        let key = OpKey::Recv(self.id);
+        let mut st = ctx.grant_unblocked(BlockReason::Recv(self.id), key).await;
+        let sender_clock = st.channels[self.id].pop_front().expect("checked nonempty");
+        st.tasks[ctx.tid].clock.join(&sender_clock);
+        st.tasks[ctx.tid].clock.tick(ctx.tid);
+        st.commit(ctx.tid, key);
+        self.data.borrow_mut().pop_front().expect("data and clock queues stay in sync")
     }
 }
 
@@ -1143,22 +861,15 @@ pub(crate) trait Policy {
 
 /// Run one schedule of `test` under `policy` and `scenario`; the whole
 /// run executes cooperatively on the calling thread.
-pub(crate) fn run_schedule<F>(
-    test: Rc<F>,
+pub(crate) fn run_schedule(
+    test: &TestFn,
     policy: &mut dyn Policy,
     max_steps: u64,
     scenario: &FaultScenario,
-) -> RunResult
-where
-    F: Fn(&ThreadCtx) + 'static,
-{
+) -> RunResult {
     let sched = Sched::new(max_steps, scenario.clone());
-    {
-        let mut st = sched.state.borrow_mut();
-        let body: Rc<dyn Fn(&ThreadCtx)> = test;
-        let tid = Sched::register_task(&mut st, None, body);
-        debug_assert_eq!(tid, 0);
-    }
+    let main = test(ThreadCtx { tid: 0, sched: sched.clone() });
+    sched.state.borrow_mut().register_task(None, main);
     let mut last: Option<usize> = None;
     let mut step = 0usize;
     loop {
@@ -1179,14 +890,22 @@ where
             break;
         }
         sched.step_task(tid);
-        {
-            let st = sched.state.borrow();
-            if let Some(info) = st.step_infos.last() {
-                policy.observe_step(info);
-            }
+        if let Some(info) = sched.state.borrow().step_infos.last() {
+            policy.observe_step(info);
         }
         last = Some(tid);
         step += 1;
     }
-    sched.take_result()
+    // The task futures own `ThreadCtx`s, which own the scheduler: drop
+    // them here, or every schedule leaks its whole state.
+    let tasks = std::mem::take(&mut sched.state.borrow_mut().tasks);
+    drop(tasks);
+    let st = sched.state.borrow();
+    RunResult {
+        failures: st.failures.clone(),
+        decisions: st.decisions.clone(),
+        steps: st.steps,
+        trace_hash: st.cur_hash,
+        step_infos: st.step_infos.clone(),
+    }
 }

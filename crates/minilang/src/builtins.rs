@@ -155,8 +155,10 @@ pub(crate) fn call_builtin<H: Host>(
             let (Value::Int(a), Value::Int(b)) = (&args[0], &args[1]) else {
                 return Err(h.rt_err("range(a, b) takes ints".into()));
             };
+            // Charge before allocating: a range past the step limit must
+            // fail as a runtime error, not abort the process.
+            h.tick(if b > a { b.abs_diff(*a) } else { 0 })?;
             let items: Vec<Value> = (*a..*b).map(Value::Int).collect();
-            h.tick(items.len() as u64)?;
             Ok(new_list(h, items))
         }
         BuiltinId::List => {

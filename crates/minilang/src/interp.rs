@@ -220,7 +220,7 @@ impl<'p> Interp<'p> {
     }
 
     fn tick(&mut self, n: u64) -> Result<(), LangError> {
-        self.cost += n;
+        self.cost = self.cost.saturating_add(n);
         if self.cost > self.options.step_limit {
             return Err(self.err("step limit exceeded"));
         }

@@ -434,7 +434,7 @@ impl<'p> Vm<'p> {
 
     #[inline]
     fn tick(&mut self, n: u64) -> Result<(), LangError> {
-        self.cost += n;
+        self.cost = self.cost.saturating_add(n);
         if self.cost > self.options.step_limit {
             return Err(self.err("step limit exceeded"));
         }
@@ -1706,5 +1706,20 @@ mod tests {
         let p = parse("fn main() { print(42); }").unwrap();
         let out = run(&p, InterpOptions::default()).unwrap();
         assert_eq!(out.output, vec!["42"]);
+    }
+
+    #[test]
+    fn huge_range_fails_the_step_limit_before_allocating() {
+        for src in [
+            "fn main() { var x = range(0, 100000000000); }",
+            "fn main() { var x = range(-9223372036854775807, 9223372036854775807); }",
+        ] {
+            let (ast, vm) = both(src);
+            for result in [ast, vm] {
+                let err = result.expect_err(src);
+                assert_eq!(err.message, "step limit exceeded", "{src}");
+                assert_eq!(err.line, 1, "{src}");
+            }
+        }
     }
 }

@@ -166,9 +166,8 @@ pub fn generate_unit_test(
 /// one occurrence — the happens-before pair the detector needs survives.
 /// None of this can change a race/deadlock/panic verdict; it only removes
 /// equivalent interleavings, which otherwise blow up the schedule space
-/// quadratically (every step re-executes the task's effect log, so a
-/// row-render loop with thousands of per-pixel accesses makes each
-/// schedule cost seconds instead of microseconds).
+/// quadratically (a row-render loop performs thousands of per-pixel
+/// accesses, each one a scheduling point).
 fn prune_unracing_ops(test: &mut ParallelUnitTest) {
     // Map every (stage, element) to the scheduler task that performs it,
     // mirroring doall_body (one task per element) and pipeline_body (one
@@ -211,8 +210,10 @@ fn prune_unracing_ops(test: &mut ParallelUnitTest) {
 pub fn run_unit_test(test: &ParallelUnitTest, options: ChessOptions) -> Report {
     let test = Arc::new(test.clone());
     match test.kind {
-        PatternKind::DataParallelLoop => explore(doall_body(test, false), options),
-        _ => explore(pipeline_body(test, false), options),
+        PatternKind::DataParallelLoop => {
+            explore(move |ctx| doall_body(ctx, test.clone(), false), options)
+        }
+        _ => explore(move |ctx| pipeline_body(ctx, test.clone(), false), options),
     }
 }
 
@@ -227,9 +228,11 @@ pub fn run_unit_test_joint(
     let test = Arc::new(test.clone());
     match test.kind {
         PatternKind::DataParallelLoop => {
-            explore_joint(doall_body(test, true), scenarios, options)
+            explore_joint(move |ctx| doall_body(ctx, test.clone(), true), scenarios, options)
         }
-        _ => explore_joint(pipeline_body(test, true), scenarios, options),
+        _ => {
+            explore_joint(move |ctx| pipeline_body(ctx, test.clone(), true), scenarios, options)
+        }
     }
 }
 
@@ -247,9 +250,13 @@ pub fn replay_unit_test_hash(
     let test = Arc::new(test.clone());
     match test.kind {
         PatternKind::DataParallelLoop => {
-            replay_hash(doall_body(test, true), scenarios, options, hash)
+            let body = move |ctx| doall_body(ctx, test.clone(), true);
+            replay_hash(body, scenarios, options, hash)
         }
-        _ => replay_hash(pipeline_body(test, true), scenarios, options, hash),
+        _ => {
+            let body = move |ctx| pipeline_body(ctx, test.clone(), true);
+            replay_hash(body, scenarios, options, hash)
+        }
     }
 }
 
@@ -261,116 +268,110 @@ pub fn fault_labels(test: &ParallelUnitTest) -> Vec<String> {
 
 /// Data-parallel loop: all elements run concurrently (that is the claim
 /// the detector made).
-fn doall_body(
-    test: Arc<ParallelUnitTest>,
-    with_faults: bool,
-) -> impl Fn(&ThreadCtx) + 'static {
-    move |ctx: &ThreadCtx| {
-            let cells = make_cells(ctx, &test.cells);
-            let mut handles = Vec::new();
-            let stage = &test.stages[0];
-            for e in 0..test.elements {
-                let ops = stage.ops[e].clone();
-                let cells = cells.clone();
-                let label = stage.name.clone();
-                handles.push(ctx.spawn(move |ctx| {
-                    if !with_faults || ctx.fault_point(&label) == Inject::Run {
-                        perform(ctx, &cells, &ops);
-                    }
-                }));
-            }
-            for h in handles {
-                ctx.join(h);
-            }
+async fn doall_body(ctx: ThreadCtx, test: Arc<ParallelUnitTest>, with_faults: bool) {
+    let cells = make_cells(&ctx, &test.cells);
+    let mut handles = Vec::new();
+    let stage = &test.stages[0];
+    for e in 0..test.elements {
+        let ops = stage.ops[e].clone();
+        let cells = cells.clone();
+        let label = stage.name.clone();
+        let handle = ctx
+            .spawn(move |ctx| async move {
+                if !with_faults || ctx.fault_point(&label).await == Inject::Run {
+                    perform(&ctx, &cells, &ops).await;
+                }
+            })
+            .await;
+        handles.push(handle);
+    }
+    for h in handles {
+        ctx.join(h).await;
     }
 }
 
 /// Pipeline / master-worker: stage threads connected by per-successor
 /// channels; every stage sends one token per element to each stage of the
 /// next level, and receives one token per predecessor.
-fn pipeline_body(
-    test: Arc<ParallelUnitTest>,
-    with_faults: bool,
-) -> impl Fn(&ThreadCtx) + 'static {
-    move |ctx: &ThreadCtx| {
-            let cells = make_cells(ctx, &test.cells);
-            let n_stages = test.stages.len();
-            // Input channels, one per (stage, replica).
-            let mut in_chs: Vec<Vec<patty_chess::CChannel<usize>>> = Vec::new();
-            for s in &test.stages {
-                in_chs.push(
-                    (0..s.replicas.max(1))
-                        .map(|r| ctx.channel::<usize>(&format!("buf_{}_{r}", s.name)))
-                        .collect(),
-                );
+async fn pipeline_body(ctx: ThreadCtx, test: Arc<ParallelUnitTest>, with_faults: bool) {
+    let cells = make_cells(&ctx, &test.cells);
+    let n_stages = test.stages.len();
+    // Input channels, one per (stage, replica).
+    let mut in_chs: Vec<Vec<patty_chess::CChannel<usize>>> = Vec::new();
+    for s in &test.stages {
+        in_chs.push(
+            (0..s.replicas.max(1))
+                .map(|r| ctx.channel::<usize>(&format!("buf_{}_{r}", s.name)))
+                .collect(),
+        );
+    }
+    // successors[s] = stage indices of the next level; a stage of level i
+    // receives one token per stage of level i-1 per element (the join of
+    // a `||` group).
+    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n_stages];
+    let mut pred_count: Vec<usize> = vec![0; n_stages];
+    for w in test.levels.windows(2) {
+        for &a in &w[0] {
+            for &b in &w[1] {
+                successors[a].push(b);
             }
-            // successors[s] = stage indices of the next level; a stage of
-            // level i receives one token per stage of level i-1 per
-            // element (the join of a `||` group).
-            let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n_stages];
-            let mut pred_count: Vec<usize> = vec![0; n_stages];
-            for w in test.levels.windows(2) {
-                for &a in &w[0] {
-                    for &b in &w[1] {
-                        successors[a].push(b);
-                    }
-                }
-                for &b in &w[1] {
-                    pred_count[b] = w[0].len();
-                }
-            }
+        }
+        for &b in &w[1] {
+            pred_count[b] = w[0].len();
+        }
+    }
 
-            let mut handles = Vec::new();
-            for (si, stage) in test.stages.iter().enumerate() {
-                for replica in 0..stage.replicas.max(1) {
-                    let ops = stage.ops.clone();
-                    let cells = cells.clone();
-                    let my_in = in_chs[si][replica].clone();
-                    let outs: Vec<Vec<patty_chess::CChannel<usize>>> = successors[si]
-                        .iter()
-                        .map(|&succ| in_chs[succ].clone())
-                        .collect();
-                    let preds = pred_count[si];
-                    let replicas = stage.replicas.max(1);
-                    let elements = test.elements;
-                    let label = stage.name.clone();
-                    handles.push(ctx.spawn(move |ctx| {
-                        for e in 0..elements {
-                            if replicas > 1 && e % replicas != replica {
-                                continue;
-                            }
-                            // Receive one token per predecessor stage.
-                            for _ in 0..preds {
-                                let _ = my_in.recv(ctx);
-                            }
-                            // Under a fault scenario a dropped item skips
-                            // the stage's work but still forwards its
-                            // tokens, so the stream stays drainable.
-                            if !with_faults || ctx.fault_point(&label) == Inject::Run {
-                                perform(ctx, &cells, &ops[e]);
-                            }
-                            // Hand the element to every successor stage
-                            // (to the replica that will process it).
-                            for succ_chs in &outs {
-                                let r = succ_chs.len();
-                                succ_chs[e % r].send(ctx, e);
-                            }
+    let mut handles = Vec::new();
+    for (si, stage) in test.stages.iter().enumerate() {
+        for replica in 0..stage.replicas.max(1) {
+            let ops = stage.ops.clone();
+            let cells = cells.clone();
+            let my_in = in_chs[si][replica].clone();
+            let outs: Vec<Vec<patty_chess::CChannel<usize>>> =
+                successors[si].iter().map(|&succ| in_chs[succ].clone()).collect();
+            let preds = pred_count[si];
+            let replicas = stage.replicas.max(1);
+            let elements = test.elements;
+            let label = stage.name.clone();
+            let handle = ctx
+                .spawn(move |ctx| async move {
+                    for e in 0..elements {
+                        if replicas > 1 && e % replicas != replica {
+                            continue;
                         }
-                    }));
-                }
-            }
-            // StreamGenerator: feed the first level.
-            if let Some(first_level) = test.levels.first() {
-                for e in 0..test.elements {
-                    for &si in first_level {
-                        let r = in_chs[si].len();
-                        in_chs[si][e % r].send(ctx, e);
+                        // Receive one token per predecessor stage.
+                        for _ in 0..preds {
+                            my_in.recv(&ctx).await;
+                        }
+                        // Under a fault scenario a dropped item skips the
+                        // stage's work but still forwards its tokens, so
+                        // the stream stays drainable.
+                        if !with_faults || ctx.fault_point(&label).await == Inject::Run {
+                            perform(&ctx, &cells, &ops[e]).await;
+                        }
+                        // Hand the element to every successor stage (to
+                        // the replica that will process it).
+                        for succ_chs in &outs {
+                            let r = succ_chs.len();
+                            succ_chs[e % r].send(&ctx, e).await;
+                        }
                     }
-                }
+                })
+                .await;
+            handles.push(handle);
+        }
+    }
+    // StreamGenerator: feed the first level.
+    if let Some(first_level) = test.levels.first() {
+        for e in 0..test.elements {
+            for &si in first_level {
+                let r = in_chs[si].len();
+                in_chs[si][e % r].send(&ctx, e).await;
             }
-            for h in handles {
-                ctx.join(h);
-            }
+        }
+    }
+    for h in handles {
+        ctx.join(h).await;
     }
 }
 
@@ -386,16 +387,20 @@ fn make_cells(
     )
 }
 
-fn perform(ctx: &ThreadCtx, cells: &BTreeMap<String, patty_chess::Shared<i64>>, ops: &[Op]) {
+async fn perform(
+    ctx: &ThreadCtx,
+    cells: &BTreeMap<String, patty_chess::Shared<i64>>,
+    ops: &[Op],
+) {
     for op in ops {
         let cell = &cells[&op.cell];
         match op.kind {
             AccessKind::Read => {
-                let _ = cell.read(ctx);
+                cell.read(ctx).await;
             }
             AccessKind::Write => {
-                let v = cell.read(ctx);
-                cell.write(ctx, v + 1);
+                let v = cell.read(ctx).await;
+                cell.write(ctx, v + 1).await;
             }
         }
     }
